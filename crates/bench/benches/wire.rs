@@ -1,9 +1,8 @@
-//! Live-wire throughput benchmarks: frames/sec and bytes/sec over real
-//! loopback sockets, comparing the sharded reactor against the legacy
-//! thread-per-route transport on the two topologies the cluster runtime
-//! actually uses — a 3-node full mesh (one-way streams) and a 16-route
-//! request/ack fan-out (every envelope acknowledged back to the sender,
-//! as the cluster ack protocol does).
+//! Live-wire throughput benchmarks: absolute frames/sec and bytes/sec of
+//! the sharded reactor over real loopback sockets, on the two topologies
+//! the cluster runtime actually uses — a 3-node full mesh (one-way
+//! streams) and a 16-route request/ack fan-out (every envelope
+//! acknowledged back to the sender, as the cluster ack protocol does).
 //!
 //! A plain timing harness (`harness = false`): each configuration moves a
 //! fixed number of framed envelopes end-to-end (enqueue → syscall → decode
@@ -24,8 +23,8 @@ use std::time::{Duration, Instant};
 
 use synergy_bench::record::{sanitize, BenchRecord};
 use synergy_net::{
-    DeviceId, Endpoint, Envelope, LiveWire, MessageBody, MsgId, MsgSeqNo, ProcessId, Transport,
-    WireKind, WirePolicy,
+    DeviceId, Endpoint, Envelope, MessageBody, MsgId, MsgSeqNo, ProcessId, ReactorTransport,
+    Transport, WirePolicy,
 };
 
 const PAYLOAD_BYTES: usize = 32;
@@ -93,9 +92,9 @@ fn rate(total_frames: u64, payload_frames: u64, elapsed: Duration) -> Rate {
 
 /// 3-node full mesh: every node sends `frames` envelopes round-robin to
 /// its two peers while receiving from both. Total traffic `3 × frames`.
-fn bench_mesh3(kind: WireKind, frames: u64) -> Rate {
-    let wires: Vec<LiveWire> = (0..3)
-        .map(|_| LiveWire::bind_with(kind, "127.0.0.1:0", bench_policy()).expect("bind"))
+fn bench_mesh3(frames: u64) -> Rate {
+    let wires: Vec<ReactorTransport> = (0..3)
+        .map(|_| ReactorTransport::bind_with("127.0.0.1:0", bench_policy()).expect("bind"))
         .collect();
     let rxs: Vec<Receiver<Envelope>> = wires
         .iter()
@@ -131,7 +130,7 @@ fn bench_mesh3(kind: WireKind, frames: u64) -> Rate {
     });
     let delivered: u64 = drains.into_iter().map(|d| d.join().expect("drain")).sum();
     let elapsed = started.elapsed();
-    assert_eq!(delivered, 3 * frames, "mesh3/{kind}: frames lost in flight");
+    assert_eq!(delivered, 3 * frames, "mesh3: frames lost in flight");
     for w in &wires {
         w.shutdown();
     }
@@ -141,16 +140,15 @@ fn bench_mesh3(kind: WireKind, frames: u64) -> Rate {
 /// 16-route request/ack fan-out: one sender, sixteen single-endpoint
 /// receivers on distinct addresses, each acknowledging every envelope back
 /// to the sender — the shape of orchestrator traffic, where every
-/// application message is transport-acked. This is the topology where
-/// thread-per-route pays a thread and a frame-sized syscall per message
-/// *in each direction*, while the reactor coalesces data writes and rides
-/// up to [`WirePolicy::max_piggy_acks`] acks per carrier frame. The rate
-/// counts frames moved end-to-end in both directions (`2 × frames`).
-fn bench_fan_out(kind: WireKind, routes: u32, frames: u64) -> Rate {
-    let receivers: Vec<LiveWire> = (0..routes)
-        .map(|_| LiveWire::bind_with(kind, "127.0.0.1:0", bench_policy()).expect("bind"))
+/// application message is transport-acked. The reactor coalesces data
+/// writes and rides up to [`WirePolicy::max_piggy_acks`] acks per carrier
+/// frame. The rate counts frames moved end-to-end in both directions
+/// (`2 × frames`).
+fn bench_fan_out(routes: u32, frames: u64) -> Rate {
+    let receivers: Vec<ReactorTransport> = (0..routes)
+        .map(|_| ReactorTransport::bind_with("127.0.0.1:0", bench_policy()).expect("bind"))
         .collect();
-    let sender = LiveWire::bind_with(kind, "127.0.0.1:0", bench_policy()).expect("bind");
+    let sender = ReactorTransport::bind_with("127.0.0.1:0", bench_policy()).expect("bind");
     let me = Endpoint::Process(ProcessId(99));
     let ack_rx = sender.register(me);
     let mut rxs = Vec::new();
@@ -196,10 +194,7 @@ fn bench_fan_out(kind: WireKind, routes: u32, frames: u64) -> Rate {
         acks.join().expect("ack drain")
     });
     let elapsed = started.elapsed();
-    assert_eq!(
-        acked, frames,
-        "routes{routes}/{kind}: frames lost in flight"
-    );
+    assert_eq!(acked, frames, "routes{routes}: frames lost in flight");
     sender.shutdown();
     for r in &receivers {
         r.shutdown();
@@ -214,6 +209,7 @@ fn run_json(label: &str, git_rev: Option<&str>, frames: u64, results: &[(String,
     if let Some(rev) = git_rev {
         let _ = writeln!(s, "        \"git_rev\": \"{}\",", sanitize(rev));
     }
+    let _ = writeln!(s, "        \"nproc\": {},", nproc());
     let _ = writeln!(s, "        \"frames_per_sender\": {frames},");
     let _ = writeln!(s, "        \"payload_bytes\": {PAYLOAD_BYTES},");
     let _ = writeln!(s, "        \"topologies\": {{");
@@ -225,49 +221,37 @@ fn run_json(label: &str, git_rev: Option<&str>, frames: u64, results: &[(String,
             r.frames_per_sec, r.mbytes_per_sec
         );
     }
-    let _ = writeln!(s, "        }},");
-    let speedup = speedup_16(results);
-    let _ = writeln!(s, "        \"reactor_speedup_routes16\": {speedup:.2}");
+    let _ = writeln!(s, "        }}");
     let _ = write!(s, "      }}");
     s
 }
 
-/// Reactor-over-threads frames/sec ratio on the 16-route topology — the
-/// headline number the reactor migration is judged on.
-fn speedup_16(results: &[(String, Rate)]) -> f64 {
-    let fps = |name: &str| {
-        results
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, r)| r.frames_per_sec)
-            .unwrap_or(0.0)
-    };
-    fps("routes16_reactor") / fps("routes16_threads").max(1e-9)
+/// Cores available to this process, recorded with every run so rates
+/// from different machines are never compared as if alike.
+fn nproc() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 fn main() {
     let frames = frames_from_env();
-    let mut results: Vec<(String, Rate)> = Vec::new();
-    for kind in [WireKind::Threads, WireKind::Reactor] {
-        let r = bench_mesh3(kind, frames);
-        println!(
-            "wire/mesh3/{kind}: {:.0} frames/s, {:.2} MB/s ({frames} frames/sender)",
-            r.frames_per_sec, r.mbytes_per_sec
-        );
-        results.push((format!("mesh3_{kind}"), r));
-    }
-    for kind in [WireKind::Threads, WireKind::Reactor] {
-        let r = bench_fan_out(kind, 16, frames);
-        println!(
-            "wire/routes16/{kind}: {:.0} frames/s, {:.2} MB/s ({frames} frames total)",
-            r.frames_per_sec, r.mbytes_per_sec
-        );
-        results.push((format!("routes16_{kind}"), r));
-    }
+    let mesh3 = bench_mesh3(frames);
     println!(
-        "wire/routes16 reactor speedup over thread-per-route: {:.2}x",
-        speedup_16(&results)
+        "wire/mesh3_reactor: {:.0} frames/s, {:.2} MB/s ({frames} frames/sender, {} cores)",
+        mesh3.frames_per_sec,
+        mesh3.mbytes_per_sec,
+        nproc()
     );
+    let routes16 = bench_fan_out(16, frames);
+    println!(
+        "wire/routes16_reactor: {:.0} frames/s, {:.2} MB/s ({frames} frames total, {} cores)",
+        routes16.frames_per_sec,
+        routes16.mbytes_per_sec,
+        nproc()
+    );
+    let results = [
+        ("mesh3_reactor".to_string(), mesh3),
+        ("routes16_reactor".to_string(), routes16),
+    ];
 
     if let Ok(path) = std::env::var("BENCH_JSON") {
         let label = std::env::var("BENCH_LABEL").unwrap_or_else(|_| "run".into());

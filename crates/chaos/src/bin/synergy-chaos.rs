@@ -5,8 +5,7 @@
 //!
 //! ```text
 //! synergy-chaos [--seeds <n>] [--base-seed <u64>] [--jobs <n>]
-//!               [--data-root <path>] [--node-bin <path>]
-//!               [--transport reactor|threads] [--regime]
+//!               [--data-root <path>] [--node-bin <path>] [--regime]
 //!               [--no-link] [--no-disk] [--no-crash] [--no-bitrot]
 //!               [--no-deltarot] [--no-archive] [--no-corrupt]
 //! ```
@@ -34,7 +33,6 @@ use synergy_chaos::{
     outcome_verdict, regime, run_campaign, shrink_failure, CampaignOutcome, CampaignResult,
     CampaignSpec, CampaignToggles, RegimeKind,
 };
-use synergy_net::WireKind;
 
 struct Args {
     seeds: u64,
@@ -43,7 +41,6 @@ struct Args {
     data_root: PathBuf,
     node_bin: Option<PathBuf>,
     toggles: CampaignToggles,
-    transport: WireKind,
     regime: bool,
 }
 
@@ -55,7 +52,6 @@ fn parse_args() -> Result<Args, String> {
         data_root: std::env::temp_dir().join(format!("synergy-chaos-{}", std::process::id())),
         node_bin: None,
         toggles: CampaignToggles::default(),
-        transport: WireKind::default(),
         regime: false,
     };
     let mut args = std::env::args().skip(1);
@@ -72,7 +68,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--data-root" => out.data_root = PathBuf::from(value()?),
             "--node-bin" => out.node_bin = Some(PathBuf::from(value()?)),
-            "--transport" => out.transport = value()?.parse()?,
             "--no-link" => out.toggles.link = false,
             "--no-disk" => out.toggles.disk = false,
             "--no-crash" => out.toggles.crash = false,
@@ -189,11 +184,10 @@ fn main() -> ExitCode {
         return run_regime_mode(&args, &node_bin);
     }
     println!(
-        "sweep: {} campaigns from base seed {}, {} jobs, {} wire, node binary {}",
+        "sweep: {} campaigns from base seed {}, {} jobs, node binary {}",
         args.seeds,
         args.base_seed,
         args.jobs,
-        args.transport,
         node_bin.display()
     );
 
@@ -206,8 +200,7 @@ fn main() -> ExitCode {
                 if index >= args.seeds {
                     break;
                 }
-                let mut spec = CampaignSpec::generate(args.base_seed, index, args.toggles);
-                spec.transport = args.transport;
+                let spec = CampaignSpec::generate(args.base_seed, index, args.toggles);
                 let result = run_campaign(&spec, &node_bin, &args.data_root);
                 print_result(index, &result);
                 results.lock().expect("results lock").push((index, result));
@@ -326,8 +319,7 @@ fn run_regime_mode(args: &Args, node_bin: &std::path::Path) -> ExitCode {
     // divergence from the simulator reference *is* the documented escape.
     println!("\nlive-cluster Byzantine campaigns (expected class: documented-escape)");
     for index in 0..3u64 {
-        let mut spec = CampaignSpec::generate_byzantine(args.base_seed, index);
-        spec.transport = args.transport;
+        let spec = CampaignSpec::generate_byzantine(args.base_seed, index);
         let result = run_campaign(&spec, node_bin, &args.data_root);
         let verdict = outcome_verdict(&result.outcome);
         println!(

@@ -18,9 +18,9 @@
 
 use synergy::NodeId;
 use synergy_archive::{ArchiveFaultPlan, OutageWindow};
-use synergy_cluster::{CrashEvent, CrashKind};
+use synergy_cluster::{CrashEvent, CrashKind, WireKind};
 use synergy_des::DetRng;
-use synergy_net::{LinkFaultPlan, LinkFaults, PartitionWindow, WireKind};
+use synergy_net::{LinkFaultPlan, LinkFaults, PartitionWindow};
 use synergy_storage::{DiskFault, DiskFaultPlan, DiskOp};
 
 /// The checkpoint grid spacing every campaign uses, chosen so no grid
@@ -102,9 +102,10 @@ pub struct CampaignSpec {
     /// node 0 so the restored lie reaches the device stream and the
     /// cluster-vs-sim diff documents the escape.
     pub corrupt: Option<usize>,
-    /// Which live-wire transport the cluster's nodes run. Not part of the
-    /// fault cocktail: the campaign must converge byte-identically on
-    /// either wire, which is exactly what the sweep checks.
+    /// The cluster's live wire. There is one; nothing reads this field. It
+    /// stays because the benchmark's live-chaos workload
+    /// (`perfbench/src/chaos.rs`) copies it into
+    /// [`ClusterConfig::transport`](synergy_cluster::ClusterConfig::transport).
     pub transport: WireKind,
 }
 

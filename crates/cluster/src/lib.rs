@@ -5,12 +5,11 @@
 //! The paper's deployment target is a middleware hosting the protocol
 //! engines on real nodes; this crate is the closest runtime in the
 //! workspace to that setting. The same sans-io [`ProcessHost`] the
-//! simulator and the threaded middleware drive runs here as **three
-//! separate OS processes** (`synergy-node`) connected by a
-//! [`LiveWire`](synergy_net::LiveWire) (the sharded nonblocking reactor
-//! by default, or the legacy thread-per-route transport via
-//! `--transport threads`), each persisting its
-//! TB stable checkpoints through a
+//! simulator drives runs here as **three separate OS processes**
+//! (`synergy-node`, each a `synergy-middleware`
+//! [`NodeRunner`](synergy_middleware::NodeRunner)) connected by the sharded
+//! nonblocking [`ReactorTransport`](synergy_net::ReactorTransport), each
+//! persisting its TB stable checkpoints through a
 //! [`DiskStableStore`](synergy_storage::DiskStableStore) — and a hardware
 //! fault is a real `SIGKILL`, torn stable write included.
 //!
@@ -41,6 +40,6 @@ pub use ctrl::{CtrlMsg, CtrlReply, WireStatus};
 pub use node::{plan_from_hex, plan_to_hex, run_node, ClusterWire, NodeOpts};
 pub use orchestrator::{
     Cluster, ClusterConfig, ClusterError, ClusterReport, ClusterTimeouts, CrashEvent, CrashKind,
-    KillReport,
+    KillReport, WireKind,
 };
 pub use verify::{simulate_reference, simulate_reference_schedule, SimReference};

@@ -10,10 +10,8 @@
 //!    and any record rejected by its CRC (bit-rot) is skipped in favour of
 //!    the previous checkpoint. The store is then wrapped in a
 //!    [`FaultyStable`] applying the campaign's disk-fault plan.
-//! 2. Bind the [`LiveWire`] (the sharded reactor by default, the legacy
-//!    thread-per-route transport with `--transport threads`) on an
-//!    ephemeral port, wrap it in a [`ClusterWire`] (bounded backpressure
-//!    retry) and a [`FaultyTransport`] applying the campaign's link-fault
+//! 2. Bind the [`ReactorTransport`] on an ephemeral port, wrap it in a
+//!    [`ClusterWire`] (bounded backpressure retry) and a [`FaultyTransport`] applying the campaign's link-fault
 //!    plan, and start the node event loop with a *commanded* [`TbRuntime`] —
 //!    checkpoint rounds are driven by the orchestrator, not by wall-clock
 //!    timers, which keeps a distributed mission deterministic.
@@ -46,10 +44,10 @@ use synergy_archive::{
 use synergy_clocks::SyncParams;
 use synergy_codec::Codec;
 use synergy_des::SimDuration;
-use synergy_middleware::{spawn_net_pump, NodeCmd, NodeInput, NodeStatus, SupEvent, TbRuntime};
+use synergy_middleware::{spawn_net_pump, NodeCmd, NodeInput, NodeRunner, NodeStatus, TbRuntime};
 use synergy_net::{
-    Endpoint, Envelope, FaultyTransport, LinkFaultPlan, LiveWire, MessageBody, MsgId, MsgSeqNo,
-    ProcessId, SendError, Transport, WireKind, WirePolicy,
+    Endpoint, Envelope, FaultyTransport, LinkFaultPlan, MessageBody, MsgId, MsgSeqNo, ProcessId,
+    ReactorTransport, SendError, Transport, WirePolicy,
 };
 use synergy_storage::{
     Checkpoint, DiskFaultPlan, DiskStableStore, FaultyStable, Stable, StableStats, StableWriteError,
@@ -76,8 +74,6 @@ pub struct NodeOpts {
     pub link_plan: LinkFaultPlan,
     /// Stable-storage fault plan applied to this node's disk store.
     pub disk_plan: DiskFaultPlan,
-    /// Which live-wire transport to run (`--transport reactor|threads`).
-    pub transport: WireKind,
     /// Override for the reactor's per-route ring capacity
     /// (`--wire-queue-bytes`); `None` keeps the policy default.
     pub wire_queue_bytes: Option<usize>,
@@ -134,7 +130,6 @@ impl NodeOpts {
         let mut tb_interval_ms = 1700u64;
         let mut link_plan = LinkFaultPlan::default();
         let mut disk_plan = DiskFaultPlan::default();
-        let mut transport = WireKind::default();
         let mut wire_queue_bytes = None;
         let mut delta_k = 0u32;
         let mut archive_dir = None;
@@ -154,7 +149,6 @@ impl NodeOpts {
                 "--chaos-archive" => archive_plan = plan_from_hex(&value()?)?,
                 "--delta-k" => delta_k = value()?.parse::<u32>().map_err(|e| e.to_string())?,
                 "--archive-dir" => archive_dir = Some(PathBuf::from(value()?)),
-                "--transport" => transport = value()?.parse()?,
                 "--wire-queue-bytes" => {
                     wire_queue_bytes = Some(value()?.parse::<usize>().map_err(|e| e.to_string())?);
                 }
@@ -169,7 +163,6 @@ impl NodeOpts {
             tb_interval_ms,
             link_plan,
             disk_plan,
-            transport,
             wire_queue_bytes,
             delta_k,
             archive_dir,
@@ -299,8 +292,9 @@ fn build_archive(opts: &NodeOpts) -> io::Result<Box<dyn ObjectStore>> {
 /// [`WireStatus::backpressure`], which the orchestrator treats as fatal,
 /// because a dropped data-plane frame breaks per-link FIFO and the
 /// campaign can no longer converge.
+#[derive(Debug)]
 pub struct ClusterWire {
-    wire: LiveWire,
+    wire: ReactorTransport,
     /// Envelopes dropped after the retry budget — lost on a live route.
     stalled: AtomicU64,
     retry_budget: Duration,
@@ -313,12 +307,12 @@ impl ClusterWire {
     pub const DEFAULT_RETRY_BUDGET: Duration = Duration::from_secs(2);
 
     /// Wraps a live wire with the default retry budget.
-    pub fn new(wire: LiveWire) -> ClusterWire {
+    pub fn new(wire: ReactorTransport) -> ClusterWire {
         ClusterWire::with_budget(wire, ClusterWire::DEFAULT_RETRY_BUDGET)
     }
 
     /// Wraps a live wire with an explicit retry budget.
-    pub fn with_budget(wire: LiveWire, retry_budget: Duration) -> ClusterWire {
+    pub fn with_budget(wire: ReactorTransport, retry_budget: Duration) -> ClusterWire {
         ClusterWire {
             wire,
             stalled: AtomicU64::new(0),
@@ -327,7 +321,7 @@ impl ClusterWire {
     }
 
     /// The wrapped transport.
-    pub fn wire(&self) -> &LiveWire {
+    pub fn wire(&self) -> &ReactorTransport {
         &self.wire
     }
 
@@ -361,15 +355,6 @@ impl ClusterWire {
     /// Stops the wrapped transport.
     pub fn shutdown(&self) {
         self.wire.shutdown()
-    }
-}
-
-impl std::fmt::Debug for ClusterWire {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ClusterWire")
-            .field("kind", &self.wire.kind())
-            .field("stalled", &self.stalled())
-            .finish_non_exhaustive()
     }
 }
 
@@ -467,7 +452,7 @@ pub fn run_node(opts: &NodeOpts) -> io::Result<()> {
     if let Some(bytes) = opts.wire_queue_bytes {
         policy.queue_bytes = bytes;
     }
-    let wire = LiveWire::bind_with(opts.transport, "127.0.0.1:0", policy)?;
+    let wire = ReactorTransport::bind_with("127.0.0.1:0", policy)?;
     let raw_net = Arc::new(ClusterWire::new(wire));
     let data_port = raw_net.local_addr().port();
     let pid = ProcessId(opts.pid);
@@ -479,19 +464,8 @@ pub fn run_node(opts: &NodeOpts) -> io::Result<()> {
     let (input_tx, input_rx) = channel::<NodeInput>();
     spawn_net_pump(pid, net_rx, input_tx.clone());
 
-    // Supervisor events (software recovery) are orchestrator concerns the
-    // cluster scenarios do not exercise; keep the receiver alive so node
-    // sends stay harmless no-ops.
-    let (sup_tx, _sup_rx) = channel::<SupEvent>();
     let tb = TbRuntime::commanded(tb_config(opts.tb_interval_ms), store);
-    let runner = synergy_middleware::NodeRunner::new(
-        pid,
-        opts.seed,
-        Arc::clone(&net),
-        input_rx,
-        sup_tx,
-        Some(tb),
-    );
+    let runner = NodeRunner::new(pid, opts.seed, Arc::clone(&net), input_rx, Some(tb));
     let runner_join = std::thread::Builder::new()
         .name(format!("synergy-cluster-node-{pid}"))
         .spawn(move || runner.run())

@@ -45,11 +45,22 @@ use std::time::{Duration, Instant};
 use synergy::NodeId;
 use synergy_archive::{ArchiveFaultPlan, ChainRecord};
 use synergy_net::retry::Backoff;
-use synergy_net::{DeviceId, Endpoint, LinkFaultPlan, LiveWire, MessageBody, ProcessId, WireKind};
+use synergy_net::{DeviceId, Endpoint, LinkFaultPlan, MessageBody, ProcessId, ReactorTransport};
 use synergy_storage::{Checkpoint, DiskFaultPlan, DiskStableStore};
 
 use crate::ctrl::{recv_ctrl, send_ctrl, CtrlMsg, CtrlReply, WireStatus};
 use crate::node::plan_to_hex;
+
+/// The live-wire transport of a cluster: the sharded
+/// [`ReactorTransport`], the only one there is. Kept as a type only for
+/// [`ClusterConfig::transport`] and the chaos `CampaignSpec::transport`,
+/// which the benchmark's live-chaos workload copies from one to the other.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum WireKind {
+    /// The sharded nonblocking reactor.
+    #[default]
+    Reactor,
+}
 
 /// Deadlines and retry budgets bounding every orchestrator interaction.
 #[derive(Clone, Copy, Debug)]
@@ -236,9 +247,10 @@ pub struct ClusterConfig {
     /// escape. Requires the legacy store (`delta_k == 0`); delta chains
     /// refuse to rewrite committed history.
     pub corrupt: Option<usize>,
-    /// Which live-wire transport every node (and the orchestrator's device
-    /// endpoint) runs: the sharded reactor by default, or the legacy
-    /// thread-per-route transport.
+    /// The live wire every node and the orchestrator's device endpoint
+    /// run. There is one; nothing reads this field. It stays because the
+    /// benchmark's live-chaos workload (`perfbench/src/chaos.rs`) assigns
+    /// it.
     pub transport: WireKind,
     /// Override for the reactor's per-route outbound ring capacity in
     /// bytes; `None` keeps the wire-policy default. Small values are how
@@ -381,6 +393,9 @@ fn accept_hello(
         detail: format!("control listener: {e}"),
     };
     let deadline = Instant::now() + timeouts.hello;
+    // A node usually connects within a millisecond or two of its spawn;
+    // poll finely at first so launch time tracks the node, not the poll.
+    let mut poll = Backoff::exponential(Duration::from_micros(100), Duration::from_millis(5), None);
     listener.set_nonblocking(true).map_err(sock)?;
     let mut stream = loop {
         match listener.accept() {
@@ -400,7 +415,7 @@ fn accept_hello(
                         ),
                     });
                 }
-                std::thread::sleep(Duration::from_millis(5));
+                std::thread::sleep(poll.next_delay().expect("unbounded schedule"));
             }
             Err(e) => return Err(sock(e)),
         }
@@ -452,7 +467,7 @@ pub struct Cluster {
     cfg: ClusterConfig,
     ctrl_listener: TcpListener,
     ctrl_addr: String,
-    device_net: LiveWire,
+    device_net: ReactorTransport,
     device_rx: std::sync::mpsc::Receiver<synergy_net::Envelope>,
     device_addr: String,
     nodes: Vec<NodeHandle>,
@@ -485,7 +500,7 @@ impl Cluster {
         };
         let ctrl_listener = TcpListener::bind("127.0.0.1:0").map_err(sock)?;
         let ctrl_addr = ctrl_listener.local_addr().map_err(sock)?.to_string();
-        let device_net = LiveWire::bind(cfg.transport, "127.0.0.1:0").map_err(sock)?;
+        let device_net = ReactorTransport::bind("127.0.0.1:0").map_err(sock)?;
         let device_rx = device_net.register(Endpoint::Device(DeviceId(0)));
         let device_addr = device_net.local_addr().to_string();
 
@@ -555,9 +570,6 @@ impl Cluster {
             .arg(&self.ctrl_addr)
             .arg("--tb-interval-ms")
             .arg(interval_ms.to_string());
-        if self.cfg.transport != WireKind::default() {
-            cmd.arg("--transport").arg(self.cfg.transport.to_string());
-        }
         if let Some(bytes) = self.cfg.wire_queue_bytes {
             cmd.arg("--wire-queue-bytes").arg(bytes.to_string());
         }

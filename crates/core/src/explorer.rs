@@ -26,7 +26,6 @@ use synergy_mdcd::{
     ShadowEngine,
 };
 use synergy_net::{Endpoint, Envelope, MessageBody, ProcessId};
-use synergy_storage::codec;
 
 use crate::system::{DEVICE, P1ACT, P1SDW, P2};
 
@@ -157,7 +156,7 @@ impl ExpState {
                     .map(|v| (v.receipts.len(), v.engine.dirty, v.engine.msg_sn.0))
             })
             .collect();
-        codec::to_bytes(&(
+        synergy_codec::to_bytes(&(
             links,
             snap_key,
             vol_key,

@@ -5,7 +5,7 @@
 //! A [`ProcessHost`] owns everything that belongs to one process and
 //! nothing that belongs to the environment: it never touches clocks, the
 //! network, the scheduler, metrics or the trace. Drivers (the simulator's
-//! dispatch layer, or the threaded middleware runtime) feed it
+//! dispatch layer, or the live node runtime in `synergy-middleware`) feed it
 //! [`HostEvent`]s and interpret the returned [`HostAction`]s — routing
 //! envelopes, scheduling timers, counting metrics and recording trace
 //! lines. Action order is the exact trace order of the protocol.
@@ -387,8 +387,8 @@ impl ProcessHost {
     }
 
     /// Feeds one MDCD engine event directly. Recovery procedures and
-    /// runtime adapters that drive TB outside the host (the threaded
-    /// middleware) use this to forward blocking/commit notifications.
+    /// runtime adapters that drive TB outside the host (the live node
+    /// runtime) use this to forward blocking/commit notifications.
     pub fn engine_event(&mut self, event: MdcdEvent, now: SimTime) -> Vec<HostAction> {
         let mut out = Vec::new();
         let actions = self.engine.handle(event);

@@ -32,7 +32,7 @@
 //!   `passed_AT` notifications are still monitored.
 //!
 //! Engines are deliberately free of time, randomness and I/O; the DES driver
-//! in the `synergy` crate and the threaded runtime in `synergy-middleware`
+//! in the `synergy` crate and the live node runtime in `synergy-middleware`
 //! both host the same engines.
 
 #![forbid(unsafe_code)]

@@ -72,8 +72,8 @@ mod tests {
             log: vec![],
             promoted: false,
         };
-        let bytes = synergy_storage::codec::to_bytes(&s).unwrap();
-        let back: EngineSnapshot = synergy_storage::codec::from_bytes(&bytes).unwrap();
+        let bytes = synergy_codec::to_bytes(&s).unwrap();
+        let back: EngineSnapshot = synergy_codec::from_bytes(&bytes).unwrap();
         assert_eq!(back, s);
     }
 }

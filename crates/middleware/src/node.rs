@@ -9,28 +9,28 @@
 //! [`ProcessHost::engine_event`].
 //!
 //! The runner is generic over its [`Transport`] and its TB runtime's
-//! [`Stable`] backend so the same loop serves both drivers: the in-process
-//! threaded middleware ([`ThreadedNet`](synergy_net::threaded::ThreadedNet) +
-//! in-memory store, wall-clock TB) and the multi-process cluster runtime
-//! ([`TcpTransport`](synergy_net::tcp::TcpTransport) + on-disk store,
-//! commanded TB rounds).
+//! [`Stable`] backend: the cluster node runs it over the reactor wire and
+//! an on-disk store, tests over in-memory carriers and stores.
 
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
+use std::time::Duration;
 
 use synergy::app::{Application, CounterApp};
 use synergy::payload::CheckpointPayload;
 use synergy::system::recovery::volatile_copy_payload;
-use synergy::system::{HostAction, HostEvent, ProcessHost, Topology};
+use synergy::system::{HostAction, HostEvent, ProcessHost, Topology, P1ACT, P1SDW};
 use synergy::Scheme;
 use synergy_des::SimTime;
-use synergy_mdcd::{EngineSnapshot, Event, ProcessRole, RecoveryDecision};
-use synergy_net::{Envelope, MissionId, ProcessId, Transport};
+use synergy_mdcd::{EngineSnapshot, Event, ProcessRole};
+use synergy_net::{Envelope, ProcessId, Transport};
 use synergy_storage::Stable;
 
-use crate::supervisor::SupEvent;
 use crate::tb_runtime::{TbEffect, TbRuntime};
-use crate::{P1ACT, P1SDW};
+
+/// How often an idle node loop wakes to retry stable writes that a
+/// failing backend left pending.
+const STABLE_RETRY_PERIOD: Duration = Duration::from_millis(50);
 
 /// Everything a node thread can receive on its (single) input channel:
 /// transport deliveries forwarded by its network pump, and control commands.
@@ -50,14 +50,6 @@ pub enum NodeCmd {
         /// Whether the message is external (acceptance-tested).
         external: bool,
     },
-    /// Arm/disarm the design fault (active process only; others ignore it).
-    SetFaulty(bool),
-    /// Shadow only: decide, restore if needed, promote, re-send.
-    TakeOver,
-    /// Peer only: the promoted shadow is the new active endpoint.
-    RetargetActive(ProcessId),
-    /// The process is dead (active after takeover).
-    Halt,
     /// Commanded TB: begin one stable-checkpoint round now. Replies whether
     /// a stable write is in flight afterwards.
     BeginCkpt(Sender<bool>),
@@ -114,7 +106,8 @@ pub struct NodeStatus {
     pub at_runs: u64,
     /// Application messages delivered to the application.
     pub delivered: u64,
-    /// Whether the node has been halted.
+    /// Whether the node has halted (fail-stop: an active whose acceptance
+    /// test failed).
     pub halted: bool,
     /// Stable checkpoints committed by the TB runtime (0 when disabled).
     pub stable_commits: u64,
@@ -127,25 +120,6 @@ pub struct NodeStatus {
     pub stable_retries: u64,
     /// Messages currently awaiting acknowledgment.
     pub unacked: usize,
-}
-
-/// Final per-node accounting.
-#[derive(Clone, Debug)]
-pub struct NodeReport {
-    /// The process.
-    pub pid: ProcessId,
-    /// Messages delivered to the application.
-    pub delivered: u64,
-    /// Volatile checkpoints established.
-    pub ckpts: u64,
-    /// Acceptance tests executed.
-    pub at_runs: u64,
-    /// Whether the node ended promoted (shadow) or halted (active).
-    pub promoted: bool,
-    /// Stable checkpoints committed by the TB runtime (0 when disabled).
-    pub stable_commits: u64,
-    /// Adapted-TB in-flight content replacements.
-    pub stable_replacements: u64,
 }
 
 /// Forwards transport deliveries for `pid` into the node's input channel so
@@ -167,16 +141,11 @@ pub fn spawn_net_pump(pid: ProcessId, net_rx: Receiver<Envelope>, input_tx: Send
 /// The node event loop: one [`ProcessHost`] driven from an input channel
 /// against a real transport.
 pub struct NodeRunner<T: Transport, S: Stable> {
-    /// The tenant this runner serves; deliveries carrying any other tag
-    /// are discarded at the loop boundary (per-tenant isolation guard).
-    mission: MissionId,
     host: ProcessHost,
     net: Arc<T>,
     input_rx: Receiver<NodeInput>,
-    sup_tx: Sender<SupEvent>,
     started: std::time::Instant,
     halted: bool,
-    dead_senders: Vec<ProcessId>,
     tb: Option<TbRuntime<S>>,
     seed: u64,
 }
@@ -184,15 +153,13 @@ pub struct NodeRunner<T: Transport, S: Stable> {
 impl<T: Transport, S: Stable> NodeRunner<T, S> {
     /// Builds a runner for `pid`. The caller owns endpoint registration and
     /// the delivery pump (see [`spawn_net_pump`]) as well as the TB
-    /// runtime's mode and backend; restoring a previously persisted
-    /// checkpoint (process restart) happens afterwards via
-    /// [`NodeCmd::Rollback`].
+    /// runtime's backend; restoring a previously persisted checkpoint
+    /// (process restart) happens afterwards via [`NodeCmd::Rollback`].
     pub fn new(
         pid: ProcessId,
         seed: u64,
         net: Arc<T>,
         input_rx: Receiver<NodeInput>,
-        sup_tx: Sender<SupEvent>,
         tb: Option<TbRuntime<S>>,
     ) -> Self {
         let (role, node) = match pid {
@@ -211,45 +178,24 @@ impl<T: Transport, S: Stable> NodeRunner<T, S> {
             CounterApp::new(seed ^ 0xA5A5),
             None,
         );
-        // No trace consumer exists in the threaded runtime; skip building
+        // No trace consumer exists in the live runtime; skip building
         // Record actions at the source.
         host.set_tracing(false);
         NodeRunner {
-            mission: MissionId::SOLO,
             host,
             net,
             input_rx,
-            sup_tx,
             started: std::time::Instant::now(),
             halted: false,
-            dead_senders: Vec::new(),
             tb,
             seed,
         }
     }
 
-    /// Assigns the runner (and its host) to a mission: outgoing traffic is
-    /// stamped with the tag and deliveries of other tenants are ignored.
-    /// Call before [`run`](Self::run).
-    #[must_use]
-    pub fn with_mission(mut self, mission: MissionId) -> Self {
-        self.mission = mission;
-        self.host.set_mission(mission);
-        self
-    }
-
-    /// Runs the loop until shutdown; returns the final accounting.
-    pub fn run(mut self) -> NodeReport {
+    /// Runs the loop until shutdown or until every input sender is gone.
+    pub fn run(mut self) {
         loop {
-            // Bound the wait by the next TB deadline so wall-clock timers
-            // fire on time (commanded runtimes report no deadline).
-            let timeout = self
-                .tb
-                .as_ref()
-                .and_then(TbRuntime::next_deadline)
-                .map(|d| d.saturating_duration_since(std::time::Instant::now()))
-                .unwrap_or(std::time::Duration::from_millis(50));
-            match self.input_rx.recv_timeout(timeout) {
+            match self.input_rx.recv_timeout(STABLE_RETRY_PERIOD) {
                 Ok(NodeInput::Net(env)) => self.on_envelope(env),
                 Ok(NodeInput::Cmd(NodeCmd::Shutdown)) | Err(RecvTimeoutError::Disconnected) => {
                     break
@@ -257,17 +203,7 @@ impl<T: Transport, S: Stable> NodeRunner<T, S> {
                 Ok(NodeInput::Cmd(cmd)) => self.on_cmd(cmd),
                 Err(RecvTimeoutError::Timeout) => {}
             }
-            self.tick_tb();
-        }
-        NodeReport {
-            pid: self.host.pid,
-            delivered: self.host.delivered,
-            ckpts: self.host.volatile_seq,
-            at_runs: self.host.engine.at_runs(),
-            promoted: self.host.engine.role() == ProcessRole::Active
-                && self.host.pid == self.host.topology.shadow,
-            stable_commits: self.tb.as_ref().map_or(0, TbRuntime::commits),
-            stable_replacements: self.tb.as_ref().map_or(0, TbRuntime::replacements),
+            self.retry_pending_stable();
         }
     }
 
@@ -287,16 +223,13 @@ impl<T: Transport, S: Stable> NodeRunner<T, S> {
             .map(|c| volatile_copy_payload(c, &self.host.acks, &self.host.recv_log))
     }
 
-    fn tick_tb(&mut self) {
-        let Some(mut tb) = self.tb.take() else { return };
-        let dirty = self.host.engine.checkpoint_bit();
-        let current = self.current_payload();
-        let vol = self.volatile_payload();
-        let mut effects = tb.tick(dirty, &|| current.clone(), &|| vol.clone());
-        if tb.stable_pending() {
-            effects.extend(tb.retry_stable());
-        }
-        self.tb = Some(tb);
+    /// Retries stable operations a failing backend left pending, so disk
+    /// catches up with the engine between commanded rounds.
+    fn retry_pending_stable(&mut self) {
+        let Some(tb) = self.tb.as_mut().filter(|tb| tb.stable_pending()) else {
+            return;
+        };
+        let effects = tb.retry_stable();
         self.apply_tb_effects(effects);
     }
 
@@ -338,13 +271,7 @@ impl<T: Transport, S: Stable> NodeRunner<T, S> {
     }
 
     fn on_envelope(&mut self, env: Envelope) {
-        // A shared transport can only misroute across tenants if a
-        // registration bug aliases two missions; the runner still never
-        // lets foreign traffic reach its engines.
-        if env.mission != self.mission {
-            return;
-        }
-        if self.halted || self.dead_senders.contains(&env.from()) {
+        if self.halted {
             return;
         }
         let bit_before = self.host.engine.checkpoint_bit();
@@ -357,21 +284,6 @@ impl<T: Transport, S: Stable> NodeRunner<T, S> {
                 self.tb = Some(tb);
             }
         }
-    }
-
-    /// The local side of a takeover/retarget: decide, roll back to the
-    /// volatile checkpoint if the decision says so, and stop listening to
-    /// the failed active.
-    fn rollback_if_decided(&mut self) {
-        let decision = self
-            .host
-            .engine
-            .recovery_decision()
-            .unwrap_or(RecoveryDecision::RollForward);
-        if decision == RecoveryDecision::RollBack {
-            let _ = self.host.rollback_to_volatile(self.now());
-        }
-        self.dead_senders.push(self.host.topology.active);
     }
 
     /// Hardware-error recovery: restore the node from the stable checkpoint
@@ -429,26 +341,6 @@ impl<T: Transport, S: Stable> NodeRunner<T, S> {
                     .handle(HostEvent::Produce { external }, self.now());
                 self.apply(actions);
             }
-            NodeCmd::SetFaulty(on) => self.host.app.set_faulty(on),
-            NodeCmd::TakeOver => {
-                self.rollback_if_decided();
-                let plan = self.host.engine.take_over();
-                for mut env in plan.resend {
-                    env.mission = self.mission;
-                    self.host.note_send(&env);
-                    self.net.send(env);
-                }
-                let _ = self
-                    .sup_tx
-                    .send(SupEvent::TakeoverDone { by: self.host.pid });
-            }
-            NodeCmd::RetargetActive(new_active) => {
-                self.rollback_if_decided();
-                if let Some(peer) = self.host.engine.as_peer_mut() {
-                    peer.retarget_active(new_active);
-                }
-            }
-            NodeCmd::Halt => self.halted = true,
             NodeCmd::BeginCkpt(tx) => {
                 if let Some(mut tb) = self.tb.take() {
                     let dirty = self.host.engine.checkpoint_bit();
@@ -519,16 +411,14 @@ impl<T: Transport, S: Stable> NodeRunner<T, S> {
         for action in actions {
             match action {
                 HostAction::Send(env) | HostAction::SendAck(env) => self.net.send(env),
+                // Fail-stop: an active whose acceptance test failed halts.
                 HostAction::SoftwareErrorDetected => {
                     self.halted = self.host.pid == self.host.topology.active;
-                    let _ = self.sup_tx.send(SupEvent::SoftwareError {
-                        detected_by: self.host.pid,
-                    });
                 }
                 // Deliveries, checkpoints and acceptance tests are already
                 // counted by the host; trace lines and TB scheduling have
-                // no driver-side effect in the threaded runtime (the host
-                // runs without an embedded TB engine here).
+                // no driver-side effect here (the host runs without an
+                // embedded TB engine).
                 HostAction::Delivered
                 | HostAction::AtPerformed { .. }
                 | HostAction::RegimeCorrupted { .. }
@@ -542,6 +432,127 @@ impl<T: Transport, S: Stable> NodeRunner<T, S> {
                 | HostAction::ResyncRequested
                 | HostAction::Record { .. } => {}
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::HashMap;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc::channel;
+    use std::sync::Mutex;
+
+    use synergy::system::P2;
+    use synergy_clocks::SyncParams;
+    use synergy_des::SimDuration;
+    use synergy_net::Endpoint;
+    use synergy_storage::StableStore;
+    use synergy_tb::{TbConfig, TbVariant};
+
+    use super::*;
+
+    /// An in-memory switch: hands each envelope straight to the
+    /// destination node's input channel, or drops it while `cut` is set.
+    #[derive(Default)]
+    struct Switch {
+        inputs: Mutex<HashMap<Endpoint, Sender<NodeInput>>>,
+        cut: AtomicBool,
+    }
+
+    impl Transport for Switch {
+        fn send(&self, envelope: Envelope) {
+            if self.cut.load(Ordering::SeqCst) {
+                return;
+            }
+            if let Some(input) = self.inputs.lock().unwrap().get(&envelope.to) {
+                let _ = input.send(NodeInput::Net(envelope));
+            }
+        }
+    }
+
+    /// Sends one command and waits for its reply. Inputs share one FIFO
+    /// channel, so the reply also proves every earlier input was handled.
+    fn ask<R>(node: &Sender<NodeInput>, cmd: impl FnOnce(Sender<R>) -> NodeCmd) -> R {
+        let (tx, rx) = channel();
+        node.send(NodeInput::Cmd(cmd(tx))).unwrap();
+        rx.recv().unwrap()
+    }
+
+    #[test]
+    fn runner_loop_dirties_commits_and_rolls_back() {
+        let config = TbConfig::new(
+            TbVariant::Adapted,
+            SimDuration::from_millis(1000),
+            SyncParams::new(SimDuration::from_micros(500), 0.0),
+            SimDuration::from_micros(50),
+            SimDuration::from_millis(2),
+        );
+        let net = Arc::new(Switch::default());
+        let mut nodes = HashMap::new();
+        let mut threads = Vec::new();
+        for pid in [P1ACT, P1SDW, P2] {
+            let (input, input_rx) = channel();
+            let endpoint = Endpoint::Process(pid);
+            net.inputs.lock().unwrap().insert(endpoint, input.clone());
+            let tb = TbRuntime::commanded(config, StableStore::new());
+            let runner = NodeRunner::new(pid, 11, Arc::clone(&net), input_rx, Some(tb));
+            threads.push(std::thread::spawn(move || runner.run()));
+            nodes.insert(pid, input);
+        }
+        let produce = |pid: ProcessId| {
+            let cmd = NodeCmd::Produce { external: false };
+            nodes[&pid].send(NodeInput::Cmd(cmd)).unwrap();
+        };
+        let status = |pid| ask(&nodes[&pid], NodeCmd::Status);
+
+        // A clean P2 broadcasts to both replicas of component 1 over a cut
+        // wire: the two copies stay unacked.
+        net.cut.store(true, Ordering::SeqCst);
+        produce(P2);
+        assert_eq!(status(P2).unacked, 2);
+        net.cut.store(false, Ordering::SeqCst);
+
+        // Produce: the active's internal message dirties P2, which takes a
+        // Type-1 volatile checkpoint (saving its unacked copies) before
+        // delivering it.
+        produce(P1ACT);
+        produce(P1SDW);
+        status(P1ACT);
+        let p2 = status(P2);
+        assert!(p2.dirty, "P2 contaminated by the active's message");
+        assert_eq!(p2.ckpts, 1, "Type-1 checkpoint taken");
+        assert_eq!(p2.delivered, 1);
+
+        // BeginCkpt/CommitCkpt: every node commits epoch 1; the dirty P2
+        // persists its volatile checkpoint, unacked copies included.
+        for pid in [P1ACT, P1SDW, P2] {
+            assert!(ask(&nodes[&pid], NodeCmd::BeginCkpt), "{pid} writes");
+        }
+        for pid in [P1ACT, P1SDW, P2] {
+            assert_eq!(ask(&nodes[&pid], NodeCmd::CommitCkpt), Some(1));
+            assert_eq!(status(pid).stable_epoch, Some(1));
+        }
+
+        // Rollback: P2 restores epoch 1 and re-sends both saved copies,
+        // which now reach the replicas and are acked.
+        let outcome = ask(&nodes[&P2], |reply| NodeCmd::Rollback { epoch: 1, reply });
+        assert_eq!(
+            outcome,
+            RollbackOutcome {
+                restored_epoch: Some(1),
+                resent: 2,
+            }
+        );
+        assert_eq!(status(P1ACT).delivered, 1);
+        assert_eq!(status(P1SDW).delivered, 1);
+        assert_eq!(status(P2).unacked, 0);
+
+        for input in nodes.values() {
+            input.send(NodeInput::Cmd(NodeCmd::Shutdown)).unwrap();
+        }
+        for thread in threads {
+            thread.join().unwrap();
         }
     }
 }

@@ -1,48 +1,32 @@
-//! Real-time adapted-TB checkpointing for the threaded and cluster
-//! runtimes.
+//! Commanded adapted-TB checkpointing for the live runtime.
 //!
 //! The paper's concluding remarks plan to "incorporate the
 //! protocol-coordination scheme into the GSU Middleware"; this module does
-//! that for the driver runtimes: each node owns a [`TbEngine`], persists
+//! that for the live cluster: each node owns a [`TbEngine`], persists
 //! coordinated checkpoints into a [`Stable`] store, and bridges the blocking
 //! periods into the MDCD engine exactly like the simulator driver does.
 //!
-//! Two driving modes share the engine and store plumbing:
-//!
-//! * **Wall-clock** ([`TbRuntime::new`]): deadlines map onto `Instant`s and
-//!   the node loop calls [`tick`](TbRuntime::tick) whenever one is due — the
-//!   threaded middleware's mode, with the in-memory [`StableStore`].
-//! * **Commanded** ([`TbRuntime::commanded`]): an external coordinator (the
-//!   cluster orchestrator) decides when checkpoint rounds begin
-//!   ([`begin_checkpoint`](TbRuntime::begin_checkpoint)) and commit
-//!   ([`commit_checkpoint`](TbRuntime::commit_checkpoint)), which makes a
-//!   distributed mission deterministic enough to compare against a
-//!   simulator run. Deadline bookkeeping stays inside the engine (each
-//!   commanded round is fed as its own timer expiry), and the store is
-//!   typically a durable `DiskStableStore`.
-//!
-//! Wall-clock notes: thread clocks share one time base, so `δ` and `ρ` are
-//! configuration inputs to the blocking-period formula rather than measured
-//! properties; acknowledgment tracking is delegated to the transport layer
-//! and the saved unacked set is the node's ack tracker contents at write
-//! time.
-
-use std::time::{Duration, Instant};
+//! Rounds are *commanded*: an external coordinator (the cluster
+//! orchestrator) decides when checkpoint rounds begin
+//! ([`begin_checkpoint`](TbRuntime::begin_checkpoint)) and commit
+//! ([`commit_checkpoint`](TbRuntime::commit_checkpoint)), which makes a
+//! distributed mission deterministic enough to compare against a simulator
+//! run. Deadline bookkeeping stays inside the engine (each commanded round
+//! is fed as its own timer expiry on the engine's deadline grid), so `δ`
+//! and `ρ` are configuration inputs to the blocking-period formula rather
+//! than measured properties. Acknowledgment tracking is delegated to the
+//! node's host, and the saved unacked set is its ack tracker contents at
+//! write time.
 
 use synergy::payload::CheckpointPayload;
-use synergy_clocks::LocalTime;
 use synergy_net::CkptSeqNo;
-use synergy_storage::{Checkpoint, Stable, StableStore};
+use synergy_storage::{Checkpoint, Stable};
 use synergy_tb::{Action as TbAction, ContentsChoice, Event as TbEvent, TbConfig, TbEngine};
 
-/// Real-time TB state for one node, over any [`Stable`] backend.
-pub struct TbRuntime<S: Stable = StableStore> {
+/// Commanded TB state for one node, over any [`Stable`] backend.
+pub struct TbRuntime<S: Stable> {
     engine: TbEngine,
     pub(crate) stable: S,
-    epoch: Instant,
-    next_timer: Option<Instant>,
-    blocking_until: Option<Instant>,
-    commanded: bool,
     commits: u64,
     replacements: u64,
     /// Stable operations that failed (transient I/O) and await retry, in
@@ -72,73 +56,22 @@ pub enum TbEffect {
     Committed(CkptSeqNo),
 }
 
-impl TbRuntime<StableStore> {
-    /// Wall-clock mode over the in-memory store (the threaded middleware's
-    /// configuration).
-    pub fn new(config: TbConfig) -> Self {
-        TbRuntime::wall_clock(config, StableStore::new())
-    }
-}
-
 impl<S: Stable> TbRuntime<S> {
-    /// Wall-clock mode over `stable`: deadlines fire via
-    /// [`tick`](Self::tick) as real time passes.
-    pub fn wall_clock(config: TbConfig, stable: S) -> Self {
-        TbRuntime::build(config, stable, false)
-    }
-
-    /// Commanded mode over `stable`: nothing fires on its own; the caller
-    /// drives rounds with [`begin_checkpoint`](Self::begin_checkpoint) and
+    /// A runtime over `stable`: nothing fires on its own; the caller drives
+    /// rounds with [`begin_checkpoint`](Self::begin_checkpoint) and
     /// [`commit_checkpoint`](Self::commit_checkpoint).
     pub fn commanded(config: TbConfig, stable: S) -> Self {
-        TbRuntime::build(config, stable, true)
-    }
-
-    fn build(config: TbConfig, stable: S, commanded: bool) -> Self {
-        let engine = TbEngine::new(config);
-        let epoch = Instant::now();
-        let mut rt = TbRuntime {
+        let mut engine = TbEngine::new(config);
+        // The engine's first deadline is its grid origin; the commanded
+        // rounds feed that grid directly, so no timer is armed from it.
+        let _ = engine.start();
+        TbRuntime {
             engine,
             stable,
-            epoch,
-            next_timer: None,
-            blocking_until: None,
-            commanded,
             commits: 0,
             replacements: 0,
             pending: Vec::new(),
             stable_retries: 0,
-        };
-        let actions = rt.engine.start();
-        rt.absorb_schedule(actions);
-        rt
-    }
-
-    fn local_now(&self) -> LocalTime {
-        LocalTime::from_nanos(u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX))
-    }
-
-    fn to_instant(&self, local: LocalTime) -> Instant {
-        self.epoch + Duration::from_nanos(local.as_nanos())
-    }
-
-    fn absorb_schedule(&mut self, actions: Vec<TbAction>) {
-        if self.commanded {
-            return;
-        }
-        for a in actions {
-            if let TbAction::ScheduleTimer { at } = a {
-                self.next_timer = Some(self.to_instant(at));
-            }
-        }
-    }
-
-    /// The next instant the node loop must wake up for, if any. Always
-    /// `None` in commanded mode.
-    pub fn next_deadline(&self) -> Option<Instant> {
-        match (self.next_timer, self.blocking_until) {
-            (Some(t), Some(b)) => Some(t.min(b)),
-            (t, b) => t.or(b),
         }
     }
 
@@ -207,17 +140,27 @@ impl<S: Stable> TbRuntime<S> {
         effects
     }
 
-    /// Runs the engine's timer expiry and executes the resulting store
-    /// actions; shared by the wall-clock and commanded paths.
-    fn fire_timer(
+    /// Starts one checkpoint round *now*, as if the node's
+    /// timer expired exactly on its deadline grid. `dirty` is the MDCD
+    /// checkpoint-relevant bit; `payload` builds the current-state
+    /// checkpoint payload on demand; `volatile_copy` fetches the most
+    /// recent volatile checkpoint payload. Returns the MDCD effects;
+    /// whether a write actually began is visible via
+    /// [`is_writing`](Self::is_writing). Ignored while a round is already
+    /// blocking.
+    pub fn begin_checkpoint(
         &mut self,
-        now_local: LocalTime,
         dirty: bool,
         payload: &dyn Fn() -> CheckpointPayload,
         volatile_copy: &dyn Fn() -> Option<CheckpointPayload>,
-        effects: &mut Vec<TbEffect>,
-    ) {
-        let wall_now = Instant::now();
+    ) -> Vec<TbEffect> {
+        let mut effects = Vec::new();
+        if self.engine.is_blocking() {
+            return effects;
+        }
+        // Every node is fed its exact grid point, so the whole cluster
+        // agrees on epoch numbering without measuring clocks.
+        let now_local = self.engine.next_deadline();
         let actions = self
             .engine
             .handle(TbEvent::TimerExpired { now_local, dirty });
@@ -238,115 +181,42 @@ impl<S: Stable> TbRuntime<S> {
                         }
                     }
                 }
-                TbAction::StartBlocking { duration } => {
-                    if !self.commanded {
-                        self.blocking_until =
-                            Some(wall_now + Duration::from_nanos(duration.as_nanos()));
-                    }
-                    effects.push(TbEffect::BlockingStarted);
-                }
-                TbAction::ScheduleTimer { at } => {
-                    if !self.commanded {
-                        self.next_timer = Some(self.to_instant(at));
-                    }
-                }
-                // Thread clocks share a time base (and the commanded mode's
-                // grid is synthetic); resynchronization is a no-op here.
-                TbAction::RequestResync => {}
-                TbAction::ReplaceWithCurrentState | TbAction::CommitStableWrite { .. } => {}
-            }
-        }
-    }
-
-    /// Ends the blocking period and commits the in-flight write; shared by
-    /// the wall-clock and commanded paths.
-    fn finish_blocking(&mut self, effects: &mut Vec<TbEffect>) {
-        self.blocking_until = None;
-        let actions = self.engine.handle(TbEvent::BlockingElapsed);
-        for a in actions {
-            match a {
-                TbAction::CommitStableWrite { ndc } => {
-                    // The Committed effect is what tells MDCD the epoch is
-                    // durable; emitting it for a failed commit would let the
-                    // engine's epoch run ahead of the disk. Defer it to a
-                    // successful retry instead.
-                    if !self.pending.is_empty() {
-                        self.pending.push(PendingStable::Commit(ndc));
-                    } else if self.stable.commit_write().is_ok() {
-                        self.commits += 1;
-                        effects.push(TbEffect::Committed(ndc));
-                    } else {
-                        self.pending.push(PendingStable::Commit(ndc));
-                    }
-                }
-                TbAction::ScheduleTimer { at } if !self.commanded => {
-                    self.next_timer = Some(self.to_instant(at));
-                }
-                _ => {}
-            }
-        }
-    }
-
-    /// Drives due wall-clock deadlines (no-op in commanded mode). `dirty` is
-    /// the MDCD checkpoint-relevant bit; `payload` builds the current-state
-    /// checkpoint payload on demand; `volatile_copy` fetches the most recent
-    /// volatile checkpoint payload.
-    pub fn tick(
-        &mut self,
-        dirty: bool,
-        payload: &dyn Fn() -> CheckpointPayload,
-        volatile_copy: &dyn Fn() -> Option<CheckpointPayload>,
-    ) -> Vec<TbEffect> {
-        let mut effects = Vec::new();
-        if self.commanded {
-            return effects;
-        }
-        let now = Instant::now();
-        if let Some(b) = self.blocking_until {
-            if now >= b {
-                self.finish_blocking(&mut effects);
-            }
-        }
-        if let Some(t) = self.next_timer {
-            if now >= t && self.blocking_until.is_none() {
-                self.next_timer = None;
-                let now_local = self.local_now();
-                self.fire_timer(now_local, dirty, payload, volatile_copy, &mut effects);
+                TbAction::StartBlocking { .. } => effects.push(TbEffect::BlockingStarted),
+                // The commanded grid is synthetic: the next round arrives as
+                // a command, and there are no clocks to resynchronize.
+                TbAction::ScheduleTimer { .. }
+                | TbAction::RequestResync
+                | TbAction::ReplaceWithCurrentState
+                | TbAction::CommitStableWrite { .. } => {}
             }
         }
         effects
     }
 
-    /// Commanded mode: starts one checkpoint round *now*, as if the node's
-    /// timer expired exactly on its deadline grid. Returns the MDCD effects;
-    /// whether a write actually began is visible via
-    /// [`is_writing`](Self::is_writing). Ignored while a round is already
-    /// blocking.
-    pub fn begin_checkpoint(
-        &mut self,
-        dirty: bool,
-        payload: &dyn Fn() -> CheckpointPayload,
-        volatile_copy: &dyn Fn() -> Option<CheckpointPayload>,
-    ) -> Vec<TbEffect> {
-        let mut effects = Vec::new();
-        if self.engine.is_blocking() {
-            return effects;
-        }
-        // Every node is fed its exact grid point, so the whole cluster
-        // agrees on epoch numbering without measuring clocks.
-        let now_local = self.engine.next_deadline();
-        self.fire_timer(now_local, dirty, payload, volatile_copy, &mut effects);
-        effects
-    }
-
-    /// Commanded mode: ends the current round's blocking period and commits
+    /// Ends the current round's blocking period and commits
     /// the in-flight stable write. Ignored when no round is blocking.
     pub fn commit_checkpoint(&mut self) -> Vec<TbEffect> {
         let mut effects = Vec::new();
         if !self.engine.is_blocking() {
             return effects;
         }
-        self.finish_blocking(&mut effects);
+        let actions = self.engine.handle(TbEvent::BlockingElapsed);
+        for a in actions {
+            if let TbAction::CommitStableWrite { ndc } = a {
+                // The Committed effect is what tells MDCD the epoch is
+                // durable; emitting it for a failed commit would let the
+                // engine's epoch run ahead of the disk. Defer it to a
+                // successful retry instead.
+                if !self.pending.is_empty() {
+                    self.pending.push(PendingStable::Commit(ndc));
+                } else if self.stable.commit_write().is_ok() {
+                    self.commits += 1;
+                    effects.push(TbEffect::Committed(ndc));
+                } else {
+                    self.pending.push(PendingStable::Commit(ndc));
+                }
+            }
+        }
         effects
     }
 
@@ -359,16 +229,10 @@ impl<S: Stable> TbRuntime<S> {
         self.stable.abort_write();
         // Global recovery supersedes whatever write was pending retry.
         self.pending.clear();
-        self.blocking_until = None;
         let ck = self.stable.latest_at_or_before_shared(epoch);
         let ndc = CkptSeqNo(ck.as_ref().map_or(0, Checkpoint::seq));
-        let now_local = if self.commanded {
-            self.engine.next_deadline()
-        } else {
-            self.local_now()
-        };
-        let actions = self.engine.handle(TbEvent::Restarted { now_local, ndc });
-        self.absorb_schedule(actions);
+        let now_local = self.engine.next_deadline();
+        let _ = self.engine.handle(TbEvent::Restarted { now_local, ndc });
         ck
     }
 
@@ -422,6 +286,7 @@ mod tests {
     use synergy_clocks::SyncParams;
     use synergy_des::{SimDuration, SimTime};
     use synergy_mdcd::EngineSnapshot;
+    use synergy_storage::StableStore;
     use synergy_tb::TbVariant;
 
     fn config(interval_ms: u64) -> TbConfig {
@@ -444,39 +309,25 @@ mod tests {
         )
     }
 
-    #[test]
-    fn commits_checkpoints_on_wall_clock() {
-        let mut rt = TbRuntime::new(config(20));
-        let deadline = Instant::now() + Duration::from_millis(500);
-        let mut effects = Vec::new();
-        while rt.commits() < 2 && Instant::now() < deadline {
-            effects.extend(rt.tick(false, &payload, &|| None));
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert!(rt.commits() >= 2, "expected periodic commits");
-        assert!(effects.iter().any(|e| matches!(e, TbEffect::Committed(_))));
-        assert!(rt.latest().is_some());
-    }
-
-    #[test]
-    fn dirty_timer_copies_volatile_checkpoint() {
-        let mut rt = TbRuntime::new(config(10));
-        let vol = CheckpointPayload::new(
+    fn volatile() -> CheckpointPayload {
+        CheckpointPayload::new(
             vec![9, 9],
             EngineSnapshot::default(),
             Vec::new(),
             Vec::new(),
             SimTime::from_nanos(42),
-        );
-        let vol_clone = vol.clone();
-        let deadline = Instant::now() + Duration::from_millis(500);
-        while rt.commits() < 1 && Instant::now() < deadline {
-            rt.tick(true, &payload, &|| Some(vol_clone.clone()));
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        )
+    }
+
+    #[test]
+    fn dirty_timer_copies_volatile_checkpoint() {
+        let mut rt = TbRuntime::commanded(config(10), StableStore::new());
+        rt.begin_checkpoint(true, &payload, &|| Some(volatile()));
+        rt.commit_checkpoint();
         let latest = rt.latest().expect("committed");
         assert_eq!(
-            latest.app, vol.app,
+            latest.app,
+            volatile().app,
             "dirty process persists the volatile copy"
         );
         assert_eq!(latest.state_time(), SimTime::from_nanos(42));
@@ -484,32 +335,15 @@ mod tests {
 
     #[test]
     fn dirty_cleared_replaces_in_flight_contents() {
-        let mut rt = TbRuntime::new(config(10));
-        let vol = CheckpointPayload::new(
-            vec![9, 9],
-            EngineSnapshot::default(),
-            Vec::new(),
-            Vec::new(),
-            SimTime::from_nanos(42),
-        );
-        // Wait for the timer to fire (dirty) and begin the write...
-        let deadline = Instant::now() + Duration::from_millis(500);
-        while rt.next_deadline().is_some() && rt.commits() == 0 && Instant::now() < deadline {
-            rt.tick(true, &payload, &|| Some(vol.clone()));
-            // ...and replace mid-blocking the moment a write is in flight.
-            if rt.stable.is_writing() {
-                rt.dirty_cleared(&payload);
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        let mut rt = TbRuntime::commanded(config(10), StableStore::new());
+        // The round begins dirty, writing the volatile copy...
+        rt.begin_checkpoint(true, &payload, &|| Some(volatile()));
+        assert!(rt.is_writing());
+        // ...and a passed_AT inside the blocking period swaps in the
+        // current state.
+        rt.dirty_cleared(&payload);
         assert_eq!(rt.replacements(), 1, "in-flight write must be replaced");
-        // Let the blocking period finish and commit.
-        let deadline = Instant::now() + Duration::from_millis(500);
-        while rt.commits() == 0 && Instant::now() < deadline {
-            rt.tick(false, &payload, &|| None);
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        rt.commit_checkpoint();
         let latest = rt.latest().expect("committed");
         assert_eq!(latest.app, payload().app, "current state won");
     }
@@ -517,8 +351,6 @@ mod tests {
     #[test]
     fn commanded_rounds_commit_in_lockstep() {
         let mut rt = TbRuntime::commanded(config(1000), StableStore::new());
-        assert!(rt.next_deadline().is_none(), "nothing fires on its own");
-        assert!(rt.tick(false, &payload, &|| None).is_empty());
         for round in 1..=3u64 {
             let began = rt.begin_checkpoint(false, &payload, &|| None);
             assert!(began.iter().any(|e| matches!(e, TbEffect::BlockingStarted)));

@@ -9,12 +9,12 @@
 //!   enforcing per-link FIFO order, bounded delays `[tmin, tmax]`, and
 //!   optional loss/duplication injection. The DES driver in the `synergy`
 //!   crate turns those answers into scheduled events.
-//! * [`threaded::ThreadedNet`]: a channel transport with a delivery thread,
-//!   used by the `synergy-middleware` runtime.
-//! * [`tcp::TcpTransport`]: length-prefixed codec frames over real sockets,
-//!   used by the `synergy-cluster` multi-process runtime. The [`Transport`]
-//!   trait abstracts over the last two so the middleware node loop is
-//!   transport-agnostic.
+//! * [`ReactorTransport`]: the live wire — length-prefixed codec frames
+//!   over real sockets on a fixed set of nonblocking event-loop threads,
+//!   used by the `synergy-cluster` multi-process runtime. The middleware
+//!   node loop sees it only through the [`Transport`] trait, so link-fault
+//!   wrappers ([`FaultyTransport`]) and in-memory test carriers slot in
+//!   unchanged.
 //!
 //! The time-based checkpointing protocol only relies on the delay bounds and
 //! on acknowledgment bookkeeping ([`AckTracker`]), which is why a simulated
@@ -28,13 +28,10 @@ mod delay;
 mod fault;
 mod faulty;
 mod frame;
-mod live;
 mod message;
 pub mod reactor;
 pub mod retry;
 mod sim;
-pub mod tcp;
-pub mod threaded;
 mod transport;
 
 pub use ack::{AckTracker, PendingAcks};
@@ -45,10 +42,11 @@ pub use frame::{
     frame_envelope, frame_envelope_with_acks, FrameDecoder, FrameError, PiggyAck, MAX_FRAME_LEN,
     MAX_PIGGY_ACKS,
 };
-pub use live::{LiveWire, WireKind};
 pub use message::{
     CkptSeqNo, DeviceId, Endpoint, Envelope, MessageBody, MissionId, MsgId, MsgSeqNo, ProcessId,
 };
-pub use reactor::{ReactorTransport, SendError, WirePolicy, WireStats};
+pub use reactor::{
+    GaveUpRoute, ReactorTransport, ReconnectPolicy, SendError, WirePolicy, WireStats,
+};
 pub use sim::{LinkKey, RouteDecision, SimNetwork};
 pub use transport::Transport;

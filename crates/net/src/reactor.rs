@@ -1,12 +1,8 @@
-//! A nonblocking sharded reactor transport: the fixed-thread successor to
-//! the thread-per-route [`TcpTransport`](crate::tcp::TcpTransport).
+//! The live wire: a nonblocking sharded reactor transport.
 //!
-//! The thread-per-route transport spawns a writer thread per destination
-//! and a reader thread per inbound connection — fine for three nodes, dead
-//! at fleet scale. The reactor runs every socket nonblocking on a **fixed
-//! thread count**: `shards` event-loop threads (default
-//! [`DEFAULT_SHARDS`]) plus one connector thread, independent of how many
-//! routes or peers exist.
+//! Every socket runs nonblocking on a **fixed thread count**: `shards`
+//! event-loop threads (default [`DEFAULT_SHARDS`]) plus one connector
+//! thread, independent of how many routes or peers exist.
 //!
 //! * **Sharding** — every socket is owned by exactly one shard thread, so
 //!   no socket is ever touched concurrently. Outbound connections shard by
@@ -34,14 +30,13 @@
 //!   the fire-and-forget [`Transport`] path blocks for ring space up to
 //!   [`WirePolicy::send_stall`], then drops and counts.
 //!
-//! Delivery semantics match the other transports: per-link FIFO for data
-//! frames (one ordered ring riding one TCP stream), silent drops for
+//! Delivery semantics match the simulator's network: per-link FIFO for
+//! data frames (one ordered ring riding one TCP stream), silent drops for
 //! unrouted destinations, reconnect-with-backoff and
 //! [`gave_up_routes`](ReactorTransport::gave_up_routes) dead-route
-//! accounting identical to [`ReconnectPolicy`]'s contract. Acks may
-//! overtake data queued behind them — safe because acks are idempotent and
-//! order-free with respect to every other message class (see DESIGN.md
-//! §12).
+//! accounting per [`ReconnectPolicy`]. Acks may overtake data queued
+//! behind them — safe because acks are idempotent and order-free with
+//! respect to every other message class (see DESIGN.md §12).
 
 use core::fmt;
 use std::collections::{HashMap, VecDeque};
@@ -59,7 +54,6 @@ use crate::ack::PendingAcks;
 use crate::frame::{FrameDecoder, FrameError, PiggyAck, MAX_FRAME_LEN};
 use crate::message::{Endpoint, Envelope};
 use crate::retry::Backoff;
-use crate::tcp::{GaveUpRoute, ReconnectPolicy};
 use crate::transport::Transport;
 
 /// Default number of shard (event-loop) threads.
@@ -111,6 +105,63 @@ const MAX_PENDING_ACKS: usize = 1024;
 /// How long the connector blocks in one connect attempt.
 const CONNECT_TIMEOUT: Duration = Duration::from_millis(250);
 
+/// How the connector behaves when a destination is unreachable.
+///
+/// Reconnect delay starts at [`backoff_start`](Self::backoff_start),
+/// doubles per consecutive failure up to [`backoff_cap`](Self::backoff_cap),
+/// and each sleep is scaled by a deterministic ±25% jitter (seeded per
+/// destination from [`jitter_seed`](Self::jitter_seed)) so a cluster of
+/// peers reconnecting to a restarted node does not thunder in lockstep.
+/// After [`max_attempts`](Self::max_attempts) consecutive failures the
+/// route is declared dead: everything queued for it is counted and
+/// surfaced via [`ReactorTransport::gave_up_routes`], and later sends to
+/// that address are dropped (and counted) until
+/// [`ReactorTransport::set_route`] revives it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ReconnectPolicy {
+    /// First reconnect delay; doubles per consecutive failure.
+    pub backoff_start: Duration,
+    /// Reconnect delay ceiling.
+    pub backoff_cap: Duration,
+    /// Consecutive failed connect attempts before a destination is
+    /// declared dead; `None` retries forever.
+    pub max_attempts: Option<u32>,
+    /// Seed for the deterministic backoff jitter.
+    pub jitter_seed: u64,
+}
+
+impl ReconnectPolicy {
+    /// The policy as a [`Backoff`] schedule for one destination, jittered
+    /// per-address so peers do not reconnect in lockstep.
+    pub(crate) fn backoff_for(&self, addr: SocketAddr) -> Backoff {
+        Backoff::exponential(self.backoff_start, self.backoff_cap, self.max_attempts)
+            .with_jitter(self.jitter_seed ^ u64::from(addr.port()))
+    }
+}
+
+impl Default for ReconnectPolicy {
+    /// 10 ms → 500 ms backoff and a 64-attempt budget (≈30 s of retries):
+    /// generous enough to ride out any orchestrated node restart, bounded
+    /// enough that a permanently dead peer cannot pin the connector forever.
+    fn default() -> Self {
+        ReconnectPolicy {
+            backoff_start: Duration::from_millis(10),
+            backoff_cap: Duration::from_millis(500),
+            max_attempts: Some(64),
+            jitter_seed: 0x5359_4E45, // "SYNE"
+        }
+    }
+}
+
+/// A destination the connector gave up on, with the frames dropped since.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct GaveUpRoute {
+    /// The unreachable destination address.
+    pub addr: SocketAddr,
+    /// Frames dropped on this route since the connector gave up.
+    pub dropped: u64,
+}
+
 /// Tuning knobs for the reactor transport.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WirePolicy {
@@ -126,8 +177,7 @@ pub struct WirePolicy {
     pub send_stall: Duration,
     /// Event-loop thread count; sockets shard across them by peer port.
     pub shards: usize,
-    /// Reconnect backoff and give-up budget, shared with the
-    /// thread-per-route transport.
+    /// Reconnect backoff and give-up budget.
     pub reconnect: ReconnectPolicy,
 }
 
@@ -340,7 +390,9 @@ struct Shared {
     /// cache their by-address ring grouping and rebuild it only when this
     /// moves, instead of re-snapshotting the map every sweep.
     rings_gen: AtomicU64,
-    /// Inbound dispatch, same contract as the other transports.
+    /// Inbound dispatch: envelopes whose `to` is registered here go to the
+    /// endpoint's channel; others are dropped like datagrams to a closed
+    /// port.
     endpoints: Mutex<HashMap<Endpoint, Sender<Envelope>>>,
     /// Bumped by `register`; invalidates the per-connection delivery
     /// cache so re-registered endpoints take effect immediately.
@@ -420,9 +472,8 @@ impl Shared {
     }
 }
 
-/// The sharded nonblocking transport. API mirrors
-/// [`TcpTransport`](crate::tcp::TcpTransport) (`bind`, `register`,
-/// `set_route`, `gave_up_routes`, `shutdown`) plus the typed
+/// The sharded nonblocking transport: `bind`, `register`, `set_route`,
+/// `gave_up_routes`, `shutdown`, plus the typed
 /// [`try_send`](Self::try_send) that surfaces backpressure.
 pub struct ReactorTransport {
     local: SocketAddr,
@@ -724,7 +775,7 @@ impl fmt::Debug for ReactorTransport {
 }
 
 impl Transport for ReactorTransport {
-    /// Fire-and-forget parity with the other transports: unrouted sends
+    /// Fire-and-forget, as the [`Transport`] contract asks: unrouted sends
     /// drop silently; a full ring blocks for space up to
     /// [`WirePolicy::send_stall`], then drops and counts the envelope in
     /// [`WireStats::backpressure_dropped`].
@@ -1408,32 +1459,6 @@ mod tests {
         assert_eq!(got, (0..200).collect::<Vec<_>>());
         assert_eq!(a.stats().frames_enqueued, 200);
         wait_for("all frames counted sent", || a.stats().frames_sent >= 200);
-        a.shutdown();
-        b.shutdown();
-    }
-
-    #[test]
-    fn reactor_interoperates_with_thread_per_route_transport() {
-        // Both live transports speak wire format v2, so a migrating
-        // cluster can mix them.
-        let a = ReactorTransport::bind("127.0.0.1:0").unwrap();
-        let b = crate::tcp::TcpTransport::bind("127.0.0.1:0").unwrap();
-        let p2: Endpoint = ProcessId(2).into();
-        let p1: Endpoint = ProcessId(1).into();
-        let rx_b = b.register(p2);
-        let rx_a = a.register(p1);
-        a.set_route(p2, b.local_addr());
-        b.set_route(p1, a.local_addr());
-        a.send(env(p2, 1, vec![1]));
-        assert_eq!(
-            rx_b.recv_timeout(Duration::from_secs(5)).unwrap().id.seq.0,
-            1
-        );
-        b.send(env(p1, 2, vec![2]));
-        assert_eq!(
-            rx_a.recv_timeout(Duration::from_secs(5)).unwrap().id.seq.0,
-            2
-        );
         a.shutdown();
         b.shutdown();
     }

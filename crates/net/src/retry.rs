@@ -2,11 +2,11 @@
 //!
 //! Two growth shapes cover the workspace's retry sites:
 //!
-//! * **Exponential with a cap** — socket reconnects ([`crate::tcp`] writers
-//!   and the reactor's connector): the delay doubles per consecutive
-//!   failure up to a ceiling, optionally scaled by a deterministic ±25%
-//!   jitter so a cluster of peers reconnecting to a restarted node does
-//!   not thunder in lockstep.
+//! * **Exponential with a cap** — the reactor's socket reconnects and the
+//!   orchestrator's poll for a spawned node's control connection: the
+//!   delay doubles per consecutive failure up to a ceiling, optionally
+//!   scaled by a deterministic ±25% jitter so a cluster of peers
+//!   reconnecting to a restarted node does not thunder in lockstep.
 //! * **Linear** — orchestrator victim restarts: attempt `n` waits
 //!   `n × step`, the original `synergy-cluster` restart discipline.
 //!

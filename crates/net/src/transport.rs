@@ -1,7 +1,6 @@
-//! The transport abstraction shared by the in-process and TCP runtimes.
+//! The transport abstraction the node loop runs over.
 
 use crate::message::Envelope;
-use crate::threaded::ThreadedNet;
 
 /// An asynchronous, fire-and-forget envelope carrier.
 ///
@@ -11,18 +10,13 @@ use crate::threaded::ThreadedNet;
 /// envelopes from one sender to one destination arrive in send order) and
 /// may drop envelopes whose destination is unregistered or unreachable —
 /// exactly the contract of the simulator's `SimNetwork`, so the protocol
-/// engines behave identically above any of the three.
+/// engines behave identically above either.
 ///
-/// Implementors: [`ThreadedNet`] (channels + a delivery thread, one address
-/// space) and [`TcpTransport`](crate::tcp::TcpTransport) (length-prefixed
-/// frames over real sockets, one process per node).
+/// The live implementor is [`ReactorTransport`](crate::ReactorTransport)
+/// (length-prefixed frames over real sockets, one process per node);
+/// wrappers such as [`FaultyTransport`](crate::FaultyTransport) layer on
+/// top of it.
 pub trait Transport: Send + Sync + 'static {
     /// Enqueues `envelope` for delivery to `envelope.to`.
     fn send(&self, envelope: Envelope);
-}
-
-impl Transport for ThreadedNet {
-    fn send(&self, envelope: Envelope) {
-        ThreadedNet::send(self, envelope);
-    }
 }

@@ -9,10 +9,9 @@
 //! a seeded `DetRng`, so failures reproduce exactly.
 
 use synergy_des::DetRng;
-use synergy_net::tcp::{frame_envelope, frame_envelope_with_acks, FrameDecoder, PiggyAck};
 use synergy_net::{
-    CkptSeqNo, DeviceId, Endpoint, Envelope, MessageBody, MissionId, MsgId, MsgSeqNo, ProcessId,
-    MAX_PIGGY_ACKS,
+    frame_envelope, frame_envelope_with_acks, CkptSeqNo, DeviceId, Endpoint, Envelope,
+    FrameDecoder, MessageBody, MissionId, MsgId, MsgSeqNo, PiggyAck, ProcessId, MAX_PIGGY_ACKS,
 };
 
 fn arbitrary_body(rng: &mut DetRng) -> MessageBody {

@@ -6,8 +6,8 @@ use std::sync::Arc;
 use synergy_codec::{codec_struct, Codec};
 use synergy_des::SimTime;
 
-use crate::codec::{self, CodecError};
 use crate::crc::crc32;
+use synergy_codec::CodecError;
 
 /// Errors from encoding or decoding a checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,7 +52,7 @@ impl From<CodecError> for CheckpointError {
 
 /// A snapshot of one process's state, ready for volatile or stable storage.
 ///
-/// The state is stored in the [`codec`](crate::codec) binary format and
+/// The state is stored in the [`synergy_codec`] binary format and
 /// guarded by a CRC-32, so corruption (and decoding with the wrong type) is
 /// detected rather than silently accepted.
 ///
@@ -125,7 +125,7 @@ impl Checkpoint {
         state: &T,
         scratch: &mut Vec<u8>,
     ) -> Result<Self, CheckpointError> {
-        codec::to_bytes_into(state, scratch)?;
+        synergy_codec::to_bytes_into(state, scratch)?;
         let crc = crc32(scratch);
         Ok(Checkpoint {
             seq,
@@ -172,7 +172,7 @@ impl Checkpoint {
                 actual,
             });
         }
-        Ok(codec::from_bytes(&self.data)?)
+        Ok(synergy_codec::from_bytes(&self.data)?)
     }
 
     /// The checkpoint sequence number (MDCD volatile counter or TB `Ndc`).

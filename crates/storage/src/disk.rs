@@ -26,7 +26,6 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use crate::checkpoint::Checkpoint;
-use crate::codec;
 use crate::crc::crc32;
 use crate::stable::{Stable, StableStats, StableWriteError};
 
@@ -44,7 +43,7 @@ fn io_err(op: &str, path: &Path, e: std::io::Error) -> StableWriteError {
 /// Serializes a checkpoint into the on-disk frame:
 /// `magic · payload_len · payload · crc32(payload)`.
 fn frame(ckpt: &Checkpoint) -> Result<Vec<u8>, StableWriteError> {
-    let payload = codec::to_bytes(ckpt)
+    let payload = synergy_codec::to_bytes(ckpt)
         .map_err(|e| StableWriteError::Io(format!("encode checkpoint: {e}")))?;
     let mut out = Vec::with_capacity(payload.len() + 16);
     out.extend_from_slice(&MAGIC.to_le_bytes());
@@ -74,7 +73,7 @@ fn unframe(bytes: &[u8]) -> Option<Checkpoint> {
     }
     // The frame CRC covers the whole serialized checkpoint, including the
     // checkpoint's own state CRC; the latter is re-verified at decode time.
-    codec::from_bytes(payload).ok()
+    synergy_codec::from_bytes(payload).ok()
 }
 
 /// Durable stable storage for one process: committed checkpoints are files

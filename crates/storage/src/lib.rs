@@ -8,13 +8,11 @@
 //! (paper §4.2, `write_disk(initial, expected_bit, alternative)`).
 //!
 //! Checkpoints are serialized with the workspace's compact little-endian
-//! binary format (re-exported here as [`codec`]) and protected by a CRC-32
-//! in every [`Checkpoint`] record.
+//! binary format (`synergy-codec`) and protected by a CRC-32 in every
+//! [`Checkpoint`] record.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod codec;
 
 mod checkpoint;
 mod crc;

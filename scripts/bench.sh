@@ -28,7 +28,7 @@ BENCH_LABEL="$LABEL" BENCH_SAMPLES="$SAMPLES" BENCH_JSON="$JSON" \
     BENCH_GIT_REV="$GIT_REV" \
     cargo bench -q --bench missions
 
-# Live-wire throughput: reactor vs thread-per-route on real loopback
+# Live-wire throughput: absolute frames/s of the reactor on real loopback
 # sockets. Appends to the same record's "wire" section. BENCH_WIRE_FRAMES
 # (frames per sender, default 100000) trades runtime for stability —
 # check.sh smokes it with a small count.

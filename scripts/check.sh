@@ -34,11 +34,6 @@ echo "==> unmasked-regime smoke: 4 seeds per regime + live Byzantine campaigns"
 # any worse-than-expected verdict, or a non-reproducible row.
 ./target/release/synergy-chaos --regime --seeds 4 --base-seed 5 --jobs 2
 
-echo "==> chaos smoke: legacy thread-per-route transport"
-# The reactor is the default; keep the legacy path honest too while it
-# remains the migration fallback.
-./target/release/synergy-chaos --seeds 2 --base-seed 7 --jobs 2 --transport threads
-
 echo "==> fleet smoke: 100 seeded tenants, 4 verified against solo runs"
 # Deterministic: seeded missions, and --verify re-runs a sample of tenants
 # as standalone simulator missions and diffs device streams byte-for-byte.

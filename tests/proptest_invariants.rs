@@ -6,8 +6,8 @@
 //! index of the failing draw.
 
 use synergy::{Mission, Scheme, SystemConfig};
+use synergy_codec::{from_bytes, to_bytes};
 use synergy_des::DetRng;
-use synergy_storage::codec::{from_bytes, to_bytes};
 
 /// A short random string mixing ASCII and multi-byte code points, to
 /// exercise UTF-8 boundaries in the codec.
